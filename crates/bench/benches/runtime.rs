@@ -1,11 +1,10 @@
-//! Benchmark of the concurrent compilation runtime against the seed's sequential
-//! path on a repeated-block QAOA workload: a batch of QAOA circuits whose blocks
+//! Benchmark of the concurrent compilation runtime against the sequential
+//! compiler on a repeated-block QAOA workload: a batch of QAOA circuits whose blocks
 //! recur within each circuit and across requests. Compares sequential
-//! `PulseLibrary` compilation with the sharded runtime at 1/2/4/8 workers, the LPT
-//! block schedule against an unsorted drain on a heterogeneous batch, cost-aware
-//! against FIFO eviction on a bounded cache under churn, the service submission
-//! front-end (concurrent prioritized clients) against the synchronous batch
-//! wrapper, plus a raw cache-contention microbenchmark, and writes a
+//! `PartialCompiler` compilation with the runtime at 1/2/4/8 workers, times the LPT
+//! block schedule on a heterogeneous batch and cost-aware eviction on a bounded
+//! cache under churn, compares the service submission front-end (concurrent
+//! prioritized clients) against the synchronous batch wrapper, and writes a
 //! `BENCH_runtime.json` summary next to the workspace root (including the
 //! observed-vs-estimated block-cost error the runtime's cost feedback closes once
 //! blocks have run, and the model→host scale the cache's `CostCalibration` fitted
@@ -19,12 +18,10 @@ use vqc_apps::graphs::Graph;
 use vqc_apps::qaoa::qaoa_circuit;
 use vqc_bench::reference_parameters;
 use vqc_circuit::Circuit;
-use vqc_core::{
-    BlockKey, CachedBlock, CompilerOptions, PartialCompiler, PulseCache, PulseLibrary, Strategy,
-};
+use vqc_core::{BlockKey, CompilerOptions, PartialCompiler, Strategy};
 use vqc_runtime::{
-    CacheConfig, CompilationRuntime, CompileJob, EvictionPolicy, Priority, RuntimeOptions,
-    SchedulePolicy, ShardedPulseCache, Submission, TableConfig, TelemetryOptions,
+    CacheConfig, CompilationRuntime, CompileJob, Priority, RuntimeOptions, Submission,
+    TelemetryOptions,
 };
 use vqc_transport::{Client, ClientOptions, Server, ServerOptions, SubmitPayload, WireJob};
 
@@ -61,8 +58,8 @@ fn bench_compilation(c: &mut Criterion) {
     group.sample_size(3);
     let jobs = workload();
 
-    // Baseline: the seed path — a sequential compiler over a global-mutex library,
-    // one compile call per request. Cold cache per measurement.
+    // Baseline: a sequential compiler, one compile call per request. Cold cache
+    // per measurement. (The row name predates the single cache type.)
     group.bench_function("sequential_pulse_library", |b| {
         b.iter(|| {
             let compiler = PartialCompiler::new(bench_options());
@@ -92,8 +89,8 @@ fn bench_compilation(c: &mut Criterion) {
 
 /// A heterogeneous batch: two QAOA requests whose plans contain wide (≤4-qubit)
 /// GRAPE blocks, padded with cheap 2-qubit requests. Submission order puts the
-/// expensive blocks *last*, the adversarial case for an unsorted drain: the pool
-/// finishes the cheap work first and then serializes on the stragglers.
+/// expensive blocks *last*, the adversarial case for a submission-order drain: the
+/// pool would finish the cheap work first and then serialize on the stragglers.
 fn heterogeneous_workload() -> Vec<CompileJob> {
     let params: Vec<f64> = reference_parameters(2);
     let mut jobs: Vec<CompileJob> = (0..6)
@@ -117,36 +114,29 @@ fn heterogeneous_workload() -> Vec<CompileJob> {
     jobs
 }
 
-/// LPT vs unsorted drain of the same heterogeneous batch. On a multi-core host LPT
-/// wins by starting the expensive QAOA blocks immediately; on a single-CPU host the
-/// two measure the same total work and the comparison records the sort's overhead.
+/// The LPT drain of the heterogeneous batch: the pool starts the expensive QAOA
+/// blocks first, so no worker is left serializing on them at the end.
 fn bench_scheduling_order(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduling_order");
     group.sample_size(3);
     let jobs = heterogeneous_workload();
-    for (name, schedule) in [
-        ("lpt_4_workers", SchedulePolicy::Lpt),
-        ("unsorted_4_workers", SchedulePolicy::Unsorted),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let runtime = CompilationRuntime::new(
-                    bench_options(),
-                    RuntimeOptions::with_workers(4).with_schedule(schedule),
-                );
-                for report in runtime.compile_batch(&jobs) {
-                    black_box(report.unwrap());
-                }
-            })
-        });
-    }
+    group.bench_function("lpt_4_workers", |b| {
+        b.iter(|| {
+            let runtime = CompilationRuntime::new(bench_options(), RuntimeOptions::with_workers(4));
+            for report in runtime.compile_batch(&jobs) {
+                black_box(report.unwrap());
+            }
+        })
+    });
     group.finish();
 }
 
-/// Cost-aware vs FIFO eviction on a tightly bounded cache: compile an expensive
-/// batch, churn through cheap single-use requests, then re-submit the expensive
-/// batch. FIFO lets the churn flush the expensive blocks (the re-submit pays GRAPE
-/// again); cost-aware keeps them (the re-submit is cache hits).
+/// Cost-aware eviction on a tightly bounded cache: compile an expensive batch,
+/// churn through cheap single-use requests, then re-submit the expensive batch.
+/// The bound (48 blocks, 3 per shard) is below the 53 distinct blocks the three
+/// batches compile, so the churn evicts. Each shard ranks its entries by cost, so
+/// the churn evicts millisecond 2-qubit blocks (its own, or the batch's) rather
+/// than the batch's 3- and 4-qubit blocks, and the re-submit finds those cached.
 fn bench_eviction_policy(c: &mut Criterion) {
     let mut group = c.benchmark_group("eviction_policy");
     group.sample_size(3);
@@ -158,7 +148,7 @@ fn bench_eviction_policy(c: &mut Criterion) {
             CompileJob::new(qaoa_circuit(&graph, 1), params.clone(), Strategy::FullGrape)
         })
         .collect();
-    let churn: Vec<CompileJob> = (0..12)
+    let churn: Vec<CompileJob> = (0..48)
         .map(|seed| {
             let mut circuit = Circuit::new(2);
             circuit.h(0);
@@ -169,29 +159,21 @@ fn bench_eviction_policy(c: &mut Criterion) {
         })
         .collect();
 
-    for (name, eviction) in [
-        ("cost_aware_bounded", EvictionPolicy::CostAware),
-        ("fifo_bounded", EvictionPolicy::Fifo),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut options = RuntimeOptions::with_workers(2);
-                options.cache = CacheConfig {
-                    shards: 1,
-                    max_blocks_per_shard: Some(8),
-                    max_tunings_per_shard: None,
-                    eviction,
-                    seeds: TableConfig::default(),
-                };
-                let runtime = CompilationRuntime::new(bench_options(), options);
-                for batch in [&expensive, &churn, &expensive] {
-                    for report in runtime.compile_batch(batch) {
-                        black_box(report.unwrap());
-                    }
+    group.bench_function("cost_aware_bounded", |b| {
+        b.iter(|| {
+            let mut options = RuntimeOptions::with_workers(2);
+            options.cache = CacheConfig {
+                max_blocks: Some(48),
+                ..CacheConfig::default()
+            };
+            let runtime = CompilationRuntime::new(bench_options(), options);
+            for batch in [&expensive, &churn, &expensive] {
+                for report in runtime.compile_batch(batch) {
+                    black_box(report.unwrap());
                 }
-            })
-        });
-    }
+            }
+        })
+    });
     group.finish();
 }
 
@@ -401,57 +383,6 @@ fn bench_lock_check_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cache_contention(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cache_contention");
-    group.sample_size(10);
-
-    // A realistic key population: block keys of small bound circuits.
-    let keys: Vec<BlockKey> = (0..256)
-        .map(|i| {
-            let mut circuit = Circuit::new(2);
-            circuit.rz(0, i as f64 * 0.01);
-            circuit.cx(0, 1);
-            BlockKey::from_bound_circuit(&circuit)
-        })
-        .collect();
-    let entry = CachedBlock {
-        duration_ns: 3.0,
-        converged: true,
-        grape_iterations: 50,
-    };
-
-    fn hammer(
-        cache: &(impl PulseCache + ?Sized),
-        keys: &[BlockKey],
-        entry: &CachedBlock,
-        threads: usize,
-    ) {
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                scope.spawn(move || {
-                    for (i, key) in keys.iter().enumerate() {
-                        if (i + t) % 8 == 0 {
-                            cache.insert_block(key.clone(), entry.clone());
-                        } else {
-                            black_box(cache.block(key));
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    group.bench_function("pulse_library_8_threads", |b| {
-        let cache = PulseLibrary::new();
-        b.iter(|| hammer(&cache, &keys, &entry, 8))
-    });
-    group.bench_function("sharded_cache_8_threads", |b| {
-        let cache = ShardedPulseCache::new(CacheConfig::default());
-        b.iter(|| hammer(&cache, &keys, &entry, 8))
-    });
-    group.finish();
-}
-
 /// Compiles the QAOA workload once on a fresh runtime, comparing every GRAPE
 /// block's a-priori cost estimate (taken before any compilation) against the
 /// wall time the block was then observed to cost. Returns `(blocks,
@@ -487,7 +418,7 @@ fn cost_feedback_error() -> Option<(usize, f64, f64, Option<f64>)> {
         .iter()
         .filter_map(|(key, estimate)| {
             compiler
-                .library()
+                .cache()
                 .observed_cost(key)
                 .map(|observed| (*estimate, observed))
         })
@@ -506,7 +437,7 @@ fn cost_feedback_error() -> Option<(usize, f64, f64, Option<f64>)> {
         pairs.len(),
         scale,
         mean_abs_rel_error,
-        compiler.library().cost_model_scale(),
+        compiler.cache().cost_model_scale(),
     ))
 }
 
@@ -617,7 +548,6 @@ criterion_group!(
     bench_transport_roundtrip,
     bench_telemetry_overhead,
     bench_lock_check_overhead,
-    bench_cache_contention,
     emit_summary
 );
 criterion_main!(benches);

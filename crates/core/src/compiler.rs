@@ -1,9 +1,9 @@
 //! The [`PartialCompiler`]: one API over the four compilation strategies.
 
 use crate::blocking::{aggregate_blocks_with_cap, Block, ParameterPolicy};
+use crate::cache::{BlockKey, CachedBlock, CachedTuning, PulseCache};
 use crate::hyperparam::{tune_hyperparameters, HyperparameterGrid};
 use crate::latency::{LatencyEstimate, LatencyModel};
-use crate::library::{BlockKey, CachedBlock, CachedTuning, PulseCache, PulseLibrary};
 use crate::schedule::schedule_blocks;
 use crate::CompileError;
 use serde::{Deserialize, Serialize};
@@ -158,7 +158,7 @@ pub struct BlockCompilation {
     pub used_grape: bool,
     /// Whether GRAPE reached the target fidelity (lookup blocks report `true`).
     pub converged: bool,
-    /// Whether the result was served from the pulse library cache.
+    /// Whether the result was served from the pulse cache.
     pub cached: bool,
     /// Wall-clock seconds of pulse-level work (GRAPE / tuning) this compile call
     /// actually performed for the block. Cache hits and lookup-table blocks report
@@ -265,19 +265,19 @@ pub struct BlockOutcome {
 #[derive(Debug)]
 pub struct PartialCompiler {
     options: CompilerOptions,
-    cache: Arc<dyn PulseCache>,
+    cache: Arc<PulseCache>,
 }
 
 impl PartialCompiler {
-    /// Creates a compiler with the given options and an empty in-process
-    /// [`PulseLibrary`] cache.
+    /// Creates a compiler with the given options and an empty, unbounded
+    /// [`PulseCache`].
     pub fn new(options: CompilerOptions) -> Self {
-        PartialCompiler::with_cache(options, Arc::new(PulseLibrary::new()))
+        PartialCompiler::with_cache(options, Arc::new(PulseCache::default()))
     }
 
-    /// Creates a compiler backed by an externally owned cache (e.g. the sharded
-    /// cache of `vqc-runtime`, shared across compilers and requests).
-    pub fn with_cache(options: CompilerOptions, cache: Arc<dyn PulseCache>) -> Self {
+    /// Creates a compiler backed by an externally owned cache (e.g. the one
+    /// `vqc-runtime` shares between its compiler and its worker pool).
+    pub fn with_cache(options: CompilerOptions, cache: Arc<PulseCache>) -> Self {
         PartialCompiler { options, cache }
     }
 
@@ -287,13 +287,8 @@ impl PartialCompiler {
     }
 
     /// The shared pulse cache (block compilations and tunings).
-    pub fn library(&self) -> &dyn PulseCache {
-        self.cache.as_ref()
-    }
-
-    /// A cloneable handle to the shared pulse cache.
-    pub fn shared_cache(&self) -> Arc<dyn PulseCache> {
-        Arc::clone(&self.cache)
+    pub fn cache(&self) -> &PulseCache {
+        &self.cache
     }
 
     /// Optimizes and lowers a circuit to the compilation basis — the preparation every
@@ -577,7 +572,7 @@ impl PartialCompiler {
             Strategy::StrictPartial | Strategy::FullGrape => {
                 let (cached_entry, cached, measured, block_profile) =
                     self.grape_block(&subcircuit, &bound, &device, gate_based_ns)?;
-                // Latency is only paid when the pulse library misses; a cache hit is a
+                // Latency is only paid when the pulse cache misses; a cache hit is a
                 // (near-instant) lookup.
                 if !cached {
                     let estimate = LatencyEstimate {
@@ -909,6 +904,7 @@ impl PartialCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
     use vqc_circuit::ParamExpr;
 
     /// A Figure-3-style two-qubit variational circuit: deep fixed sections interleaved
@@ -1042,7 +1038,7 @@ mod tests {
             .iter()
             .filter(|b| b.used_grape)
             .all(|b| b.cached));
-        assert!(compiler.library().num_blocks() > 0);
+        assert!(compiler.cache().num_blocks() > 0);
     }
 
     #[test]
@@ -1142,7 +1138,7 @@ mod tests {
                 .dedup_key(block, &params)
                 .expect("GRAPE block has a key");
             let observed = compiler
-                .library()
+                .cache()
                 .observed_cost(&key)
                 .expect("compiled block records its cost");
             let after = compiler.estimate_block_cost_seconds(&plan, block, &params);
@@ -1159,7 +1155,7 @@ mod tests {
         }
         for block in &grape_blocks {
             let key = plan.dedup_key(block, &params).unwrap();
-            assert!(compiler.library().observed_cost(&key).unwrap() > 0.0);
+            assert!(compiler.cache().observed_cost(&key).unwrap() > 0.0);
         }
     }
 
@@ -1179,7 +1175,7 @@ mod tests {
                 .unwrap();
         }
         let scale = calibrated
-            .library()
+            .cache()
             .cost_model_scale()
             .expect("three real compilations calibrate the model");
         assert!(scale > 0.0 && scale.is_finite());
@@ -1224,9 +1220,10 @@ mod tests {
         // armed explicitly so the test is independent of `VQC_TT`.
         let compiler = PartialCompiler::with_cache(
             CompilerOptions::fast(),
-            Arc::new(PulseLibrary::with_seed_table(
-                vqc_pulse::TableConfig::default(),
-            )),
+            Arc::new(PulseCache::new(CacheConfig {
+                seeds: vqc_pulse::TableConfig::default(),
+                ..CacheConfig::default()
+            })),
         );
         let mut circuit = Circuit::new(1);
         circuit.h(0);
@@ -1245,13 +1242,13 @@ mod tests {
             cold.blocks.iter().any(|b| b.used_grape && b.converged),
             "the 1-qubit block must converge so its window can seed"
         );
-        assert_eq!(compiler.library().warm_start_stats().table_hits, 0);
+        assert_eq!(compiler.cache().warm_start_stats().table_hits, 0);
 
         let seeded = compiler
             .compile(&circuit, &[0.7], Strategy::FullGrape)
             .unwrap();
         let seeded_iterations: usize = seeded.blocks.iter().map(|b| b.grape_iterations).sum();
-        let stats = compiler.library().warm_start_stats();
+        let stats = compiler.cache().warm_start_stats();
         assert!(
             stats.table_hits >= 1,
             "fresh θ must hit the structural seed"
@@ -1275,9 +1272,10 @@ mod tests {
         // block, wiping the tuning cache (but not the seeds) makes the second
         // re-tune — which the tuned seed answers without re-running the grid,
         // so its pre-compute latency collapses to the seeded duration search.
-        let shared = Arc::new(PulseLibrary::with_seed_table(
-            vqc_pulse::TableConfig::default(),
-        ));
+        let shared = Arc::new(PulseCache::new(CacheConfig {
+            seeds: vqc_pulse::TableConfig::default(),
+            ..CacheConfig::default()
+        }));
         let first = PartialCompiler::with_cache(CompilerOptions::fast(), shared.clone());
         let circuit = example_circuit();
         let report = first

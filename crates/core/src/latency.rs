@@ -8,7 +8,7 @@
 //! describes. The reduction *factor* is insensitive to the calibration constant because
 //! both strategies are scaled identically.
 
-use crate::library::{BlockKey, CachedBlock, CachedTuning};
+use crate::cache::{BlockKey, CachedBlock, CachedTuning};
 use serde::{Deserialize, Serialize};
 use vqc_pulse::DeviceModel;
 

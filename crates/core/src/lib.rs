@@ -18,7 +18,7 @@
 //! 2. aggregates it into ≤4-qubit [`blocking`] blocks under the strategy's parameter
 //!    policy (Fixed-only for strict, single-θ for flexible, unrestricted for GRAPE),
 //! 3. compiles each block either by lookup (gate-based) or by minimum-time GRAPE
-//!    (`vqc-pulse`), caching results in a [`PulseLibrary`],
+//!    (`vqc-pulse`), caching results in a sharded [`PulseCache`],
 //! 4. ASAP-schedules the block pulses to get the circuit's total pulse duration, and
 //! 5. accounts compilation latency separately for the pre-compute phase and the
 //!    per-iteration runtime phase.
@@ -49,19 +49,21 @@
 #![warn(missing_debug_implementations)]
 
 pub mod blocking;
+mod cache;
 mod compiler;
 mod error;
 pub mod hyperparam;
 pub mod latency;
-mod library;
 pub mod schedule;
 
+pub use cache::{
+    BlockKey, CacheConfig, CacheMetrics, CacheSnapshot, CachedBlock, CachedTuning, PulseCache,
+};
 pub use compiler::{
     BlockCompilation, BlockOutcome, CompilationPlan, CompilationReport, CompilerOptions,
     PartialCompiler, Strategy,
 };
 pub use error::CompileError;
 pub use latency::{CostCalibration, LatencyEstimate, LatencyModel, MIN_CALIBRATION_SAMPLES};
-pub use library::{BlockKey, CachedBlock, CachedTuning, PulseCache, PulseLibrary};
 pub use vqc_pulse::profile::{self, CompileProfile, Phase, PHASE_COUNT};
 pub use vqc_pulse::{PulseSequence, SeedEntry, TableConfig, TranspositionTable, WarmStartStats};

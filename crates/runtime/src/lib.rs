@@ -4,20 +4,18 @@
 //! across variational iterations. This crate turns that observation into a
 //! production-shaped service core on top of `vqc-core`:
 //!
-//! * [`ShardedPulseCache`] — a lock-striped, sharded, content-addressed replacement
-//!   for the global-mutex [`vqc_core::PulseLibrary`], with hit/miss/eviction
-//!   [`CacheMetrics`] and optional per-shard capacity bounds. Bounded shards evict
-//!   by [`EvictionPolicy`]: cost-aware by default (the cheapest-to-recompute entry
-//!   leaves first), hit-weighted (cost × observed reuse) for skewed traffic, FIFO
-//!   as fallback. Cost metadata is calibrated: observed compile times replace model
-//!   estimates, and a least-squares [`vqc_core::CostCalibration`] scales estimates
-//!   for blocks that never ran.
+//! * [`PulseCache`] — re-exported from `vqc-core`: the one lock-striped,
+//!   content-addressed pulse cache, with hit/miss/eviction [`CacheMetrics`] and
+//!   optional total capacity bounds ([`CacheConfig`]). Bounded shards evict the
+//!   cheapest-to-recompute entry first. Cost metadata is calibrated: observed
+//!   compile times replace model estimates, and a least-squares
+//!   [`vqc_core::CostCalibration`] scales estimates for blocks that never ran.
 //! * [`CompilationRuntime`] — the request-scheduling service: a channel-based
 //!   accept loop admits [`Submission`]s through a bounded queue
 //!   ([`Backpressure::Block`]/[`Backpressure::Reject`]/[`Backpressure::Shed`]), a
 //!   scheduler expands them into block tasks, and a persistent worker pool drains
 //!   one merged queue ordered by strict [`Priority`], weighted-fair virtual time
-//!   per client, and LPT cost ([`SchedulePolicy::Lpt`]). Block tasks are
+//!   per client, and longest-processing-time-first cost. Block tasks are
 //!   deduplicated *across requests*: one compiled block fans out to every waiting
 //!   job, with priority inheritance so shared work is never scheduled at the
 //!   slowest waiter's class.
@@ -33,9 +31,6 @@
 //!   [`TelemetryOptions`], optionally dumped as JSON lines).
 //! * [`persist`] — bincode snapshots of the cache for warm-start across runs
 //!   ([`CompilationRuntime::save_snapshot`], [`CompilationRuntime::with_warm_start`]).
-//! * [`InFlight`] — the singleflight primitive the pre-service runtime deduplicated
-//!   with; the scheduler's cross-request dedup table subsumes it on the hot path,
-//!   but it remains available for embedders building their own pools.
 //!
 //! # Example
 //!
@@ -71,20 +66,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cache;
-mod inflight;
 pub mod persist;
 #[allow(clippy::module_inception)]
 mod runtime;
 mod service;
 mod telemetry;
 
-pub use cache::{
-    CacheConfig, CacheMetrics, CacheSnapshot, CompactionPolicy, EvictionPolicy, ShardedPulseCache,
-};
-pub use inflight::{InFlight, Ticket};
 pub use persist::PersistError;
-pub use runtime::{CompilationRuntime, CompileJob, RuntimeMetrics, RuntimeOptions, SchedulePolicy};
+pub use runtime::{CompilationRuntime, CompileJob, RuntimeMetrics, RuntimeOptions};
 pub use service::{
     Backpressure, ClientMetrics, JobHandle, JobStatus, Priority, ServiceOptions, Submission,
     SubmitError,
@@ -94,4 +83,7 @@ pub use telemetry::{
     LatencyHistogram, MetricsSnapshot, PhaseMetrics, TelemetryOptions, TraceEvent, TraceRing,
     TraceStage, PHASE_ROWS, PRIORITY_CLASSES, PRIORITY_CLASS_NAMES,
 };
-pub use vqc_core::{CompileProfile, SeedEntry, TableConfig, WarmStartStats, PHASE_COUNT};
+pub use vqc_core::{
+    CacheConfig, CacheMetrics, CacheSnapshot, CompileProfile, PulseCache, SeedEntry, TableConfig,
+    WarmStartStats, PHASE_COUNT,
+};

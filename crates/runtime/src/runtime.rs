@@ -1,14 +1,14 @@
 //! The compilation runtime: a request-scheduling service behind a synchronous API.
 //!
-//! [`CompilationRuntime`] owns a [`PartialCompiler`] whose [`vqc_core::PulseCache`]
-//! is a [`ShardedPulseCache`], plus the [`crate::service`] machinery built around
-//! them: a channel-based accept loop, a scheduler that expands every admitted
-//! [`Submission`] into block tasks via [`PartialCompiler::plan`], and a persistent
-//! worker pool that drains one merged, priority-ordered task queue for all
-//! outstanding requests. Identical blocks are deduplicated across requests — each
-//! unique [`vqc_core::BlockKey`] is GRAPE-optimized at most once per process and its
-//! result fans out to every waiting job, no matter how many circuits, parameter
-//! bindings, clients, or worker threads are involved.
+//! [`CompilationRuntime`] owns a [`PartialCompiler`] with its [`PulseCache`], plus
+//! the [`crate::service`] machinery built around them: a channel-based accept
+//! loop, a scheduler that expands every admitted [`Submission`] into block tasks
+//! via [`PartialCompiler::plan`], and a persistent worker pool that drains one
+//! merged, priority-ordered task queue for all outstanding requests. Identical
+//! blocks are deduplicated across requests — each unique [`vqc_core::BlockKey`]
+//! is GRAPE-optimized at most once per process and its result fans out to every
+//! waiting job, no matter how many circuits, parameter bindings, clients, or
+//! worker threads are involved.
 //!
 //! [`CompilationRuntime::submit`] is the service front door ([`Submission`] in,
 //! [`JobHandle`] out). [`CompilationRuntime::compile`],
@@ -19,7 +19,6 @@
 //! concurrent clients) submits whole iterations of circuits, and every Fixed block
 //! compiled for any of them is reused by all.
 
-use crate::cache::{CacheConfig, CacheMetrics, CompactionPolicy, ShardedPulseCache};
 use crate::persist::{self, PersistError};
 use crate::service::{
     Backpressure, ClientMetrics, CompileService, JobHandle, ServiceOptions, Submission, SubmitError,
@@ -29,32 +28,18 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use vqc_circuit::Circuit;
-use vqc_core::{CompilationReport, CompileError, CompilerOptions, PartialCompiler, Strategy};
-
-/// In which order the worker pool drains ready block tasks of equal priority and
-/// fair-share stamp.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedulePolicy {
-    /// Longest-processing-time-first: tasks are ordered by estimated GRAPE cost
-    /// (descending). The classic LPT bound keeps the makespan within 4/3 of optimal
-    /// on heterogeneous plans, where submission order can strand one worker on a
-    /// minutes-scale block while the rest sit idle.
-    #[default]
-    Lpt,
-    /// Plan/submission order, as the seed runtime drained tasks. Kept for
-    /// benchmarking the scheduling win and for bit-faithful replay of old runs.
-    Unsorted,
-}
+use vqc_core::{
+    CacheConfig, CacheMetrics, CompilationReport, CompileError, CompilerOptions, PartialCompiler,
+    PulseCache, Strategy,
+};
 
 /// Configuration of a [`CompilationRuntime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
     /// Number of worker threads block compilation may use (minimum 1).
     pub workers: usize,
-    /// Configuration of the shared sharded cache.
+    /// Configuration of the shared pulse cache.
     pub cache: CacheConfig,
-    /// Order in which the worker pool drains block tasks.
-    pub schedule: SchedulePolicy,
     /// Admission-queue depth and backpressure policy of the service front-end.
     pub service: ServiceOptions,
     /// Telemetry configuration: latency histograms, lifecycle tracing, and the
@@ -80,7 +65,6 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             workers: workers.max(1),
             cache: CacheConfig::default(),
-            schedule: SchedulePolicy::default(),
             service: ServiceOptions::default(),
             telemetry: TelemetryOptions::default(),
         }
@@ -94,12 +78,6 @@ impl RuntimeOptions {
             workers: workers.max(1),
             ..RuntimeOptions::default()
         }
-    }
-
-    /// Replaces the schedule policy.
-    pub fn with_schedule(mut self, schedule: SchedulePolicy) -> Self {
-        self.schedule = schedule;
-        self
     }
 
     /// Replaces the service (admission) options.
@@ -176,15 +154,11 @@ impl CompilationRuntime {
     /// Creates a runtime with a fresh empty cache and starts its accept loop and
     /// worker pool.
     pub fn new(options: CompilerOptions, runtime_options: RuntimeOptions) -> Self {
-        let cache = Arc::new(ShardedPulseCache::new(runtime_options.cache));
-        let compiler =
-            PartialCompiler::with_cache(options, Arc::<ShardedPulseCache>::clone(&cache));
+        let cache = Arc::new(PulseCache::new(runtime_options.cache));
         CompilationRuntime {
             service: CompileService::start(
-                compiler,
-                cache,
+                PartialCompiler::with_cache(options, cache),
                 runtime_options.workers,
-                runtime_options.schedule,
                 runtime_options.service,
                 runtime_options.telemetry,
             ),
@@ -203,7 +177,7 @@ impl CompilationRuntime {
     ) -> Result<Self, PersistError> {
         let snapshot = persist::load_snapshot(snapshot_path)?;
         let runtime = CompilationRuntime::new(options, runtime_options);
-        runtime.service.core.cache.absorb(snapshot);
+        runtime.cache().absorb(snapshot);
         Ok(runtime)
     }
 
@@ -212,9 +186,9 @@ impl CompilationRuntime {
         &self.service.core.compiler
     }
 
-    /// The shared sharded cache.
-    pub fn cache(&self) -> &ShardedPulseCache {
-        &self.service.core.cache
+    /// The shared pulse cache.
+    pub fn cache(&self) -> &PulseCache {
+        self.service.core.compiler.cache()
     }
 
     /// Number of worker threads used for block compilation.
@@ -226,7 +200,7 @@ impl CompilationRuntime {
     pub fn metrics(&self) -> RuntimeMetrics {
         let core = &self.service.core;
         RuntimeMetrics {
-            cache: core.cache.metrics(),
+            cache: core.compiler.cache().metrics(),
             unique_compilations: core.compilations.load(Ordering::Relaxed),
             coalesced_waits: core.coalesced.load(Ordering::Relaxed),
             submissions: core.submissions.load(Ordering::Relaxed),
@@ -303,25 +277,7 @@ impl CompilationRuntime {
     ///
     /// Fails on I/O errors.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.save_snapshot_compacted(path, &CompactionPolicy::default())
-    }
-
-    /// Writes the cache contents to disk, compacted: entries below the policy's cost
-    /// floor or beyond its size budget are dropped at save time (the costliest
-    /// entries survive), so a long-lived process does not grow its snapshot file with
-    /// entries that are cheaper to recompute than to carry.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors.
-    pub fn save_snapshot_compacted(
-        &self,
-        path: impl AsRef<Path>,
-        policy: &CompactionPolicy,
-    ) -> Result<(), PersistError> {
-        let mut snapshot = self.cache().snapshot();
-        snapshot.compact(policy);
-        persist::save_snapshot(path, &snapshot)
+        persist::save_snapshot(path, &self.cache().snapshot())
     }
 
     /// Submits a request to the service under its configured backpressure policy

@@ -29,8 +29,7 @@
 //! so a low-priority request can never make a high-priority one late by having
 //! asked for a shared block first.
 
-use crate::cache::ShardedPulseCache;
-use crate::runtime::{CompileJob, SchedulePolicy};
+use crate::runtime::CompileJob;
 use crate::telemetry::{
     MetricsSnapshot, Telemetry, TelemetryOptions, TraceStage, PRIORITY_CLASSES,
 };
@@ -689,8 +688,6 @@ struct IntakeState {
 #[derive(Debug)]
 pub(crate) struct ServiceCore {
     pub(crate) compiler: PartialCompiler,
-    pub(crate) cache: Arc<ShardedPulseCache>,
-    schedule: SchedulePolicy,
     queue_depth: usize,
     backpressure: Backpressure,
     sched: Mutex<SchedState>,
@@ -765,7 +762,7 @@ impl ServiceCore {
             queued_by_class[crate::telemetry::priority_class(entry.0.priority)] += 1;
         }
         let outstanding = self.admission.lock().outstanding as u64;
-        let cache = self.cache.metrics();
+        let cache = self.compiler.cache().metrics();
         MetricsSnapshot {
             seq,
             uptime_seconds,
@@ -783,12 +780,12 @@ impl ServiceCore {
             cache_misses: cache.misses,
             cache_insertions: cache.insertions,
             cache_evictions: cache.evictions,
-            cache_entries: vqc_core::PulseCache::num_blocks(&*self.cache) as u64,
+            cache_entries: self.compiler.cache().num_blocks() as u64,
             unique_compilations: self.compilations.load(Ordering::Relaxed),
             coalesced_waits: self.coalesced.load(Ordering::Relaxed),
             trace_dropped: self.telemetry.trace_dropped(),
-            warm_start: vqc_core::PulseCache::warm_start_stats(&*self.cache),
-            seed_entries: self.cache.num_seeds() as u64,
+            warm_start: self.compiler.cache().warm_start_stats(),
+            seed_entries: self.compiler.cache().num_seeds() as u64,
             phases: self.telemetry.phase_metrics(),
             jacobi_sweeps: self.telemetry.jacobi_sweeps(),
             classes: self.telemetry.class_latencies(),
@@ -914,7 +911,6 @@ impl ServiceCore {
         // Estimate block costs before taking the scheduler lock (each estimate may
         // walk the block's subcircuit). Estimates are memoized per (plan, block):
         // every binding of an iterations submission shares one estimate.
-        let lpt = self.schedule == SchedulePolicy::Lpt;
         let mut memo: HashMap<(usize, usize), f64> = HashMap::new();
         struct PlannedTask {
             job: usize,
@@ -932,15 +928,11 @@ impl ServiceCore {
             for block_index in 0..plan.blocks.len() {
                 let block = &plan.blocks[block_index];
                 let key = plan.dedup_key(block, params);
-                let cost = if lpt {
-                    let memo_key = (Arc::as_ptr(plan) as usize, block_index);
-                    *memo.entry(memo_key).or_insert_with(|| {
-                        self.compiler
-                            .estimate_block_cost_seconds(plan, block, params)
-                    })
-                } else {
-                    0.0
-                };
+                let memo_key = (Arc::as_ptr(plan) as usize, block_index);
+                let cost = *memo.entry(memo_key).or_insert_with(|| {
+                    self.compiler
+                        .estimate_block_cost_seconds(plan, block, params)
+                });
                 tasks.push(PlannedTask {
                     job: job_index,
                     block: block_index,
@@ -1458,17 +1450,13 @@ pub(crate) struct CompileService {
 impl CompileService {
     pub(crate) fn start(
         compiler: PartialCompiler,
-        cache: Arc<ShardedPulseCache>,
         workers: usize,
-        schedule: SchedulePolicy,
         service_options: ServiceOptions,
         telemetry_options: TelemetryOptions,
     ) -> Self {
         let workers = workers.max(1);
         let core = Arc::new(ServiceCore {
             compiler,
-            cache,
-            schedule,
             queue_depth: service_options.queue_depth.max(1),
             backpressure: service_options.backpressure,
             sched: Mutex::new(SchedState {

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use vqc_circuit::{Circuit, ParamExpr};
-use vqc_core::{CompilerOptions, PartialCompiler, PulseCache, Strategy};
+use vqc_core::{CompilerOptions, PartialCompiler, Strategy};
 use vqc_runtime::{CompilationRuntime, CompileJob, RuntimeOptions};
 
 fn fast_options() -> CompilerOptions {
@@ -31,7 +31,7 @@ fn variational_circuit(phase: f64) -> Circuit {
 
 /// Counts the unique GRAPE-level cache keys a strict-partial compile of the given
 /// circuits needs, by compiling them sequentially on a fresh compiler and reading
-/// the resulting library size.
+/// the resulting cache size.
 fn unique_block_count(circuits: &[Circuit], params: &[f64]) -> usize {
     let compiler = PartialCompiler::new(fast_options());
     for circuit in circuits {
@@ -39,7 +39,7 @@ fn unique_block_count(circuits: &[Circuit], params: &[f64]) -> usize {
             .compile(circuit, params, Strategy::StrictPartial)
             .unwrap();
     }
-    compiler.library().num_blocks()
+    compiler.cache().num_blocks()
 }
 
 #[test]
